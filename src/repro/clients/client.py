@@ -100,8 +100,6 @@ class Client:
             spare.enqueued_at = 0.0
             spare.trace = None
             spare.dir_hint = dir_hint
-            spare.origin_shard = None
-            spare.origin_key = None
             return spare
         return MdsRequest(op=op, path=path, client_id=self.client_id,
                           uid=self.uid, dst_path=dst_path, mode=mode,

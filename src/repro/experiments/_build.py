@@ -149,15 +149,8 @@ def _make_snapshot(config: ExperimentConfig,
     return copy.deepcopy(cached)
 
 
-def build_simulation(config: ExperimentConfig, *,
-                     shard=None) -> Simulation:
-    """Construct namespace, cluster, clients and tracer per the config.
-
-    ``shard`` (a :class:`repro.shard.runtime.ShardContext`) builds the
-    shard-local slice of the experiment instead: the full namespace and
-    node array (peers stay inert), but only this shard's workers and
-    clients — with the shard transport spliced in before ``start()``.
-    """
+def build_simulation(config: ExperimentConfig) -> Simulation:
+    """Construct namespace, cluster, clients and tracer per the config."""
     gates = env_gates(config)
     env = make_environment(kernel=gates.kernel)
     # Record the resolved model gate process-wide so structures built
@@ -172,15 +165,10 @@ def build_simulation(config: ExperimentConfig, *,
     strategy = make_strategy(config.strategy, config.n_mds)
     strategy.bind(ns)
     params = _size_cache(config, len(ns))
-    if shard is None:
-        tracer = Tracer(sample_rate=config.trace_sample_rate,
-                        sink=RingBufferSink(config.trace_buffer),
-                        seed=config.seed)
-    else:
-        tracer = shard.make_tracer(env, config)
+    tracer = Tracer(sample_rate=config.trace_sample_rate,
+                    sink=RingBufferSink(config.trace_buffer),
+                    seed=config.seed)
     cluster = MdsCluster(env, ns, strategy, params, tracer=tracer)
-    if shard is not None:
-        shard.bind(cluster, snapshot, config)
     cluster.start()
 
     spec = config.workload_spec()
@@ -203,11 +191,6 @@ def build_simulation(config: ExperimentConfig, *,
             clients.append(source)
     else:
         for i in range(config.n_clients):
-            if shard is not None and not shard.owns_client(i):
-                # a peer shard builds this client; its RNG stream is
-                # derived purely from (seed, name), so skipping it here
-                # cannot perturb anyone else's draws
-                continue
             client = Client(env, i, front, workload,
                             streams.py_stream(f"client.{i}"))
             client.start()

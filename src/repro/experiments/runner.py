@@ -35,32 +35,11 @@ class SteadyStateResult:
 
 
 def run_steady_state(config: ExperimentConfig) -> SteadyStateResult:
-    """Build, warm up, measure.
-
-    When the ``REPRO_SHARDS`` gate (or ``config.shards``) requests it and
-    the config is in the shardable class, the experiment runs partitioned
-    across processes via :mod:`repro.shard` — bit-identical results,
-    multi-core wall-clock.  Anything else silently takes the serial path.
-    """
-    from .config import resolve_shard_count
-
-    n_shards = resolve_shard_count(config)
-    if n_shards is not None:
-        from ..shard import run_sharded_summary, shard_viability
-
-        if shard_viability(config, n_shards) is None:
-            return _result_from_summary(
-                config, run_sharded_summary(config, n_shards))
+    """Build, warm up, measure."""
     sim = build_simulation(config)
     t0, t1 = config.measure_window
     sim.run_to(t1)
     summary = sim.summary(window=(t0, t1))
-    return _result_from_summary(config, summary)
-
-
-def _result_from_summary(config: ExperimentConfig,
-                         summary) -> SteadyStateResult:
-    """Flatten a :class:`ClusterSummary` into the figure-facing result."""
     return SteadyStateResult(
         config=config,
         mean_node_throughput=summary.throughput_ops_per_s,

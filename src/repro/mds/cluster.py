@@ -14,7 +14,6 @@ from typing import Any, Dict, Generator, List, Optional, Set
 
 from .._fastpath import fastpath_enabled
 from ..namespace import Namespace
-from ..namespace.errors import FileNotFound
 from ..obs import Tracer
 from ..partition import DynamicSubtreePartition, Strategy
 from ..sim import Environment, Event
@@ -54,17 +53,9 @@ class MdsCluster:
             # (invalidated precisely by the namespace on structural change)
             ns.enable_resolution_memo()
 
-        placement = None
-        if params.shard_affinity:
-            # Partition-affine layout (used identically by serial and
-            # sharded runs): arena ino numbering plus authority-owned OSD
-            # placement, so no shard ever touches another shard's devices.
-            ns.enable_arena_ino_allocation()
-            placement = self._affine_placement
         self.object_store = ObjectStore(
             env, n_osds=max(1, params.osds_per_mds * self.n_mds),
-            read_s=params.disk_read_s, write_s=params.disk_write_s,
-            placement=placement)
+            read_s=params.disk_read_s, write_s=params.disk_write_s)
         #: inos replicated on every node by traffic control (§4.4)
         self.hot_inos: Set[int] = set()
         #: path -> distribution-info mapping, shared by all nodes (the info
@@ -102,27 +93,6 @@ class MdsCluster:
         self.balancer: Optional[LoadBalancer] = None
         self.dirfrag: Optional[DirFragManager] = None
         self._started = False
-        #: cross-shard message seam (attached by repro.shard before
-        #: ``start()``); ``None`` keeps every path exactly the serial one
-        self._transport = None
-
-    def _affine_placement(self, ino: int) -> int:
-        """OSD index for ``ino`` on a device owned by its authority node."""
-        try:
-            authority = self.strategy.authority_of_ino(ino)
-        except FileNotFound:
-            # released orphan being written back: any stable map works, as
-            # long as serial and sharded runs agree (the writeback happens
-            # on the shard that owned the inode in both)
-            return ino * 2654435761
-        return (authority * self.params.osds_per_mds
-                + (ino * 2654435761) % self.params.osds_per_mds)
-
-    def attach_transport(self, transport) -> None:
-        """Install the cross-shard transport (before :meth:`start`)."""
-        if self._started:
-            raise RuntimeError("attach_transport() after start()")
-        self._transport = transport
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -138,10 +108,8 @@ class MdsCluster:
         if self._started:
             return
         self._started = True
-        transport = self._transport
         for node in self.nodes:
-            if transport is None or transport.owns(node.node_id):
-                node.start_workers()
+            node.start_workers()
         if (isinstance(self.strategy, DynamicSubtreePartition)
                 and self.strategy.supports_rebalancing):
             policy = self.balance_policy
@@ -190,10 +158,6 @@ class MdsCluster:
         A request addressed to a failed node is rerouted to a random live
         one, modelling the client's connection-refused retry.
         """
-        transport = self._transport
-        if transport is not None and not transport.owns(node_id):
-            transport.send_request(node_id, request)
-            return
         if self.nodes[node_id].failed:
             request.hops += 1
             node_id = self.pick_live_node()
@@ -231,11 +195,6 @@ class MdsCluster:
 
     def _send_reply(self, request: MdsRequest, reply: MdsReply) -> None:
         """Schedule delivery of ``reply`` (no admission bookkeeping)."""
-        transport = self._transport
-        if (transport is not None and request.origin_shard is not None
-                and request.origin_shard != transport.shard_id):
-            transport.send_reply(request, reply)
-            return
         done = request.done
         assert done is not None
         if request.trace is not None:

@@ -80,15 +80,6 @@ class SimParams:
     dirfrag_size_threshold: int = 10_000     # entries before hashing a dir
     dirfrag_unfrag_size: int = 2_000         # shrink below -> consolidate
 
-    # -- sharded execution (repro.shard) ---------------------------------------
-    # Partition-affine resource layout: inode numbers are allocated from
-    # per-subtree arenas (stable under any shard count) and each inode's
-    # OSD object is placed on a device owned by its authority node, so a
-    # cluster split into logical processes touches no cross-shard disk
-    # state.  The serial reference uses the *same* layout when this is on —
-    # sharded and serial runs stay bit-identical.
-    shard_affinity: bool = False
-
     # -- measurement --------------------------------------------------------
     stats_bucket_s: float = 0.1   # width of per-node rate buckets; timeline
                                   # sampling intervals must be multiples

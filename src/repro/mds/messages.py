@@ -85,12 +85,6 @@ class MdsRequest:
     #: the client's own cwd).  Directory-hash routing needs it: directories
     #: hash on their own path, files on their parent's.
     dir_hint: bool = False
-    #: sharded execution (repro.shard): the shard the client lives on and
-    #: its key into that shard's pending-completion table.  ``None`` on a
-    #: request that has never crossed a shard boundary — i.e. always, in
-    #: serial runs.
-    origin_shard: Optional[int] = None
-    origin_key: Optional[int] = None
 
     @property
     def is_mutation(self) -> bool:

@@ -27,35 +27,6 @@ from .path import Path
 ROOT_INO = 1
 
 
-class _ArenaAllocator:
-    """Partition-affine inode numbering (``SimParams.shard_affinity``).
-
-    New inodes draw from per-subtree *arenas* keyed on the first two path
-    components, laid out as interleaved strided sequences
-    (``base + arena_index + k * stride``): which number a create receives
-    depends only on the create's position within its own subtree, never on
-    how creates in different subtrees interleave.  That makes inode numbers
-    invariant under any partitioning of the workload — the property the
-    sharded executor's bit-identity contract rests on.  Paths outside the
-    enable-time arena inventory share a catch-all arena.
-    """
-
-    __slots__ = ("base", "index", "stride", "catch_all", "counters")
-
-    def __init__(self, base: int, keys: List[Path]) -> None:
-        self.base = base
-        self.index: Dict[Path, int] = {key: i for i, key in enumerate(keys)}
-        self.catch_all = len(keys)
-        self.stride = len(keys) + 1
-        self.counters: Dict[int, int] = {}
-
-    def allocate(self, path: Path) -> int:
-        idx = self.index.get(path[:2], self.catch_all)
-        k = self.counters.get(idx, 0)
-        self.counters[idx] = k + 1
-        return self.base + idx + k * self.stride
-
-
 class Namespace:
     """An in-memory hierarchical namespace with embedded inodes."""
 
@@ -70,9 +41,6 @@ class Namespace:
         #: request-path fast lane (attached by the cluster when the fast
         #: path is enabled); ``None`` means every resolve walks the tree
         self._memo: Optional[ResolutionMemo] = None
-        #: partition-affine ino numbering (attached by the cluster under
-        #: ``shard_affinity``); ``None`` means the global sequential counter
-        self._arena_alloc: Optional[_ArenaAllocator] = None
         #: optional second precise-invalidation consumer (the cluster's
         #: distribution-info memo); duck-typed ``invalidate_ino(ino)``
         self._structure_watcher = None
@@ -285,23 +253,6 @@ class Namespace:
     def disable_resolution_memo(self) -> None:
         self._memo = None
 
-    def enable_arena_ino_allocation(self) -> None:
-        """Switch new-inode numbering to per-subtree strided arenas.
-
-        The arena inventory is the set of directories at depth one and two
-        at enable time (sorted by path, so the numbering is a pure function
-        of the namespace content, not of construction order).  Idempotent;
-        meant to be called once, before any workload-driven creates.
-        """
-        if self._arena_alloc is not None:
-            return
-        keys = sorted(
-            path for path in (self.path_of(node.ino)
-                              for node in self.iter_subtree(ROOT_INO)
-                              if node.is_dir and node.ino != ROOT_INO)
-            if len(path) <= 2)
-        self._arena_alloc = _ArenaAllocator(self._next_ino, keys)
-
     def attach_structure_watcher(self, watcher) -> None:
         """Attach one extra precise-invalidation consumer (duck-typed:
         anything with ``invalidate_ino(ino)``, e.g. the cluster's
@@ -357,10 +308,8 @@ class Namespace:
         name = pathmod.basename(path)
         if name in parent.children:  # type: ignore[operator]
             raise AlreadyExists(pathmod.format_path(path))
-        alloc = self._arena_alloc
         inode = self._new_inode(itype, parent_ino=parent.ino, mode=mode,
-                                owner=owner, size=size, mtime=mtime,
-                                ino=alloc.allocate(path) if alloc else None)
+                                owner=owner, size=size, mtime=mtime)
         parent.children[name] = inode.ino  # type: ignore[index]
         parent.mtime = max(parent.mtime, mtime)
         self.dentry_add_epoch += 1
@@ -524,13 +473,9 @@ class Namespace:
     # internals
     # ------------------------------------------------------------------
     def _new_inode(self, itype: InodeType, parent_ino: int, mode: int = 0,
-                   owner: int = 0, size: int = 0, mtime: float = 0.0, *,
-                   ino: Optional[int] = None) -> Inode:
-        if ino is None:
-            ino = self._next_ino
-            self._next_ino += 1
-        elif ino in self._inodes:
-            raise InvalidOperation(f"ino {ino} already allocated")
+                   owner: int = 0, size: int = 0, mtime: float = 0.0) -> Inode:
+        ino = self._next_ino
+        self._next_ino += 1
         inode = Inode(ino=ino, itype=itype, parent_ino=parent_ino, mode=mode,
                       owner=owner, size=size, mtime=mtime)
         self._inodes[ino] = inode

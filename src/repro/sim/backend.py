@@ -10,8 +10,7 @@ implementations exist:
   ``(when, priority << 56 | seq)``), the clock, the sequence counter, the
   ``Timeout`` lifecycle and the inlined run loops, wrapped by
   :class:`CompiledEnvironment` so every pure-python consumer (processes,
-  resources, the shard runtime) sees the exact :class:`Environment`
-  surface.
+  resources) sees the exact :class:`Environment` surface.
 
 Selection follows the repo's gate discipline (config field > env var >
 default, see :func:`repro.experiments.config.env_gates`): the
@@ -30,8 +29,8 @@ The sequence counter makes every heap key unique, so the calendar induces
 a **total order** on scheduled events; any correct binary heap — heapq's
 or the C one's — therefore pops the identical sequence, and due times are
 computed with the same IEEE-754 double arithmetic either way.  The golden
-ordering, fastpath-equivalence and shard bit-identity suites run
-parametrized over both backends to enforce this.
+ordering and fastpath-equivalence suites run parametrized over both
+backends to enforce this.
 """
 
 from __future__ import annotations
@@ -153,8 +152,7 @@ class CompiledEnvironment(Environment):
     merges them with the C-side counters.
     """
 
-    __slots__ = ("_kernel", "timeout", "schedule", "schedule_at", "peek",
-                 "step", "run_window")
+    __slots__ = ("_kernel", "timeout", "schedule", "peek", "step")
 
     def __init__(self, initial_time: float = 0.0, *,
                  fastlane: Optional[bool] = None) -> None:
@@ -180,14 +178,12 @@ class CompiledEnvironment(Environment):
         self._kernel = kernel
         self.timeout = kernel.timeout
         self.schedule = kernel.schedule
-        self.schedule_at = kernel.schedule_at
         self.peek = kernel.peek
         self.step = kernel.step
-        self.run_window = kernel.run_window
 
     # The clock and sequence counter live in the C kernel; these shadow
     # the base-class slots for the python code that reads them directly
-    # (shard runtime `env._now`, kernel tests `env._seq`).
+    # (`env._now` in engine.py and resources.py, kernel tests `env._seq`).
     @property
     def _now(self) -> float:  # type: ignore[override]
         return self._kernel.now

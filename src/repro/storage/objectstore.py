@@ -33,21 +33,14 @@ class ObjectStoreStats:
 
 
 class ObjectStore:
-    """A pool of OSD devices addressed by object (inode-number) hash.
-
-    ``placement`` optionally overrides the default hash with an explicit
-    ino -> device-index map (still taken modulo the pool size).  The MDS
-    cluster uses it under ``SimParams.shard_affinity`` to pin every object
-    onto a device owned by the inode's authority node.
-    """
+    """A pool of OSD devices addressed by object (inode-number) hash."""
 
     def __init__(self, env: Environment, *, n_osds: int, read_s: float,
-                 write_s: float, placement=None) -> None:
+                 write_s: float) -> None:
         if n_osds < 1:
             raise ValueError("need at least one OSD")
         self.env = env
         self.stats = ObjectStoreStats()
-        self._placement = placement
         self.osds: List[DiskDevice] = [
             DiskDevice(env, read_s=read_s, write_s=write_s, name=f"osd{i}")
             for i in range(n_osds)
@@ -55,8 +48,6 @@ class ObjectStore:
 
     def device_for(self, ino: int) -> DiskDevice:
         """OSD holding the object for ``ino`` (stable pseudo-random map)."""
-        if self._placement is not None:
-            return self.osds[self._placement(ino) % len(self.osds)]
         # Knuth multiplicative scramble decorrelates sequential inos.
         return self.osds[(ino * 2654435761) % len(self.osds)]
 

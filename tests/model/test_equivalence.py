@@ -4,15 +4,13 @@
 bit-identical summaries for the same seed — the C structures replicate
 every counter, exception and float expression of the pure-python model.
 The contract is enforced composing with every other execution gate:
-both fast-lane modes, both kernel backends, and sharded execution.
+both fast-lane modes and both kernel backends.
 """
-
-import multiprocessing
 
 import pytest
 
 from repro._fastpath import FASTPATH_ENV
-from repro.api import build_simulation, run_sharded_summary, scaling_config
+from repro.api import build_simulation, scaling_config
 from repro.model.backend import MODEL_ENV, compiled_model_viable
 from repro.sim.backend import KERNEL_ENV, compiled_viable
 
@@ -57,28 +55,3 @@ def test_model_backends_bit_identical(monkeypatch, fastpath, kernel):
     assert ref.kernel["model_backend"] == "reference"
     assert com.kernel["model_backend"] == "compiled"
 
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="sharding requires the fork start method")
-def test_model_backend_composes_with_shards(monkeypatch):
-    """The gate crosses the fork: a sharded compiled-model run merges to
-    the same summary as the serial reference run."""
-    from repro.api import sharded_config
-
-    cfg = sharded_config(n_mds=4, scale=1.0, users_per_mds=8,
-                         clients_per_mds=8, files_per_user=10,
-                         shared_tree_files=40, warmup_s=0.25,
-                         duration_s=0.5, net_hop_s=0.0025)
-
-    monkeypatch.setenv(MODEL_ENV, "reference")
-    sim = build_simulation(cfg)
-    t0, t1 = cfg.measure_window
-    sim.run_to(t1)
-    serial = sim.summary(window=(t0, t1))
-
-    monkeypatch.setenv(MODEL_ENV, "compiled")
-    merged = run_sharded_summary(cfg, 2)
-    assert repr(serial) == repr(merged)
-    assert serial == merged
-    assert merged.kernel["model_backend"] == "compiled"

@@ -2,7 +2,7 @@
 
 Gate-token parsing and precedence live in
 ``tests/experiments/test_env_gates.py``; the ordering/equivalence proofs
-live in the backend-parametrized hotpath, fastpath-equivalence and shard
+live in the backend-parametrized hotpath and fastpath-equivalence
 suites.  This module covers the seam itself: which class each gate value
 yields, the silent fallback when the extension is missing, the
 provenance fields, and the compiled ``Timeout``'s API parity with the

@@ -1,9 +1,12 @@
-"""Seed-splitting guarantees that sharded execution leans on.
+"""Seed-splitting guarantees that simulation builds and sweep workers lean on.
 
 Every client's stream is derived statelessly from ``(master_seed,
-"client.<i>")``, so a worker that builds only its own clients draws
-exactly the bits the serial build would have handed those clients — no
-matter how many shards exist or which process asks.
+"client.<i>")``.  ``repro.experiments._build`` relies on that: the
+streams a build hands out do not depend on which other named streams it
+creates or in what order (closed-loop clients, open-loop sources, the
+snapshot generator's fresh factory).  ``repro.parallel`` relies on it
+too: a forked sweep worker draws exactly the bits an in-process run
+would.
 """
 
 import multiprocessing
@@ -13,20 +16,20 @@ import pytest
 from repro.sim.rng import RngStreams, derive_seed
 
 
-class TestShardInvariance:
+class TestNamedStreamInvariance:
     def test_streams_do_not_depend_on_construction_order(self):
-        # shard 0 builds clients {0, 2}, shard 1 builds {1, 3}; a serial
-        # run builds all four in order — every stream must agree
-        serial = RngStreams(42)
-        shard0 = RngStreams(42)
-        shard1 = RngStreams(42)
-        draws = {i: [serial.py_stream(f"client.{i}").random()
+        # one factory builds clients {0, 2}, another {1, 3}; a third
+        # builds all four in order — every stream must agree
+        in_order = RngStreams(42)
+        evens = RngStreams(42)
+        odds = RngStreams(42)
+        draws = {i: [in_order.py_stream(f"client.{i}").random()
                      for _ in range(32)] for i in range(4)}
         for i in (0, 2):
-            assert [shard0.py_stream(f"client.{i}").random()
+            assert [evens.py_stream(f"client.{i}").random()
                     for _ in range(32)] == draws[i]
         for i in (1, 3):
-            assert [shard1.py_stream(f"client.{i}").random()
+            assert [odds.py_stream(f"client.{i}").random()
                     for _ in range(32)] == draws[i]
 
     def test_skipping_streams_perturbs_nothing(self):
@@ -60,7 +63,7 @@ def _worker_draws(args):
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs fork to mirror the shard workers")
+    reason="needs fork to mirror the sweep workers")
 class TestProcessBoundary:
     def test_deterministic_across_fork(self):
         local = _worker_draws((42, "client.3", 64))
