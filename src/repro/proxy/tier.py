@@ -35,12 +35,12 @@ clients work unchanged whether they talk to the cluster or the tier.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..mds.messages import MdsReply, MdsRequest, OVERLOAD_ERROR
+from ..mds.messages import MdsReply, MdsRequest, OVERLOAD_ERROR, OpType
 from ..model.backend import make_popularity_map
-from ..sim import Environment, Event, Resource
+from ..sim import Environment, Event, Resource, start_inline
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,9 @@ class ProxyStats:
 #: reply-cache / coalescing key: the same path means different things to
 #: different ops (an OPEN reply is not a READDIR reply)
 _Key = Tuple[Any, Any]
+
+#: the cacheable READ_ONLY_OPS in a fixed order (a frozenset's is salted)
+_CACHED_OPS = (OpType.OPEN, OpType.CLOSE, OpType.STAT, OpType.READDIR)
 
 
 class ProxyNode:
@@ -229,11 +232,11 @@ class ProxyNode:
                 *, forwarded: int) -> None:
         """Deliver ``reply`` to the client after the proxy->client hop."""
         env = self.env
-        net = self.tier.net_hop_s
-        final = replace(reply, forwarded=forwarded,
-                        latency_s=env.now - submitted_at)
-        timer = env.timeout(net, final)
-        timer.callbacks.append(lambda ev, d=done: d.succeed(ev._value))
+        done._triggered = done._ok = True  # done itself carries the reply
+        done._value = MdsReply(reply.ok, reply.served_by, reply.op, reply.path,
+                               reply.error, reply.target_ino, reply.locations,
+                               forwarded, env.now - submitted_at)
+        env.schedule(done, delay=self.tier.net_hop_s)
 
     def _remember(self, key: _Key, reply: MdsReply) -> None:
         cache = self._cache
@@ -248,10 +251,9 @@ class ProxyNode:
         for path in (request.path, request.dst_path):
             if path is None:
                 continue
-            stale = [key for key in self._cache if key[1] == path]
-            for key in stale:
-                del self._cache[key]
-                self.stats.invalidations += 1
+            for op in _CACHED_OPS:
+                if self._cache.pop((op, path), None) is not None:
+                    self.stats.invalidations += 1
 
 
 class ProxyTier:
@@ -265,6 +267,7 @@ class ProxyTier:
         self.net_hop_s = cluster.params.net_hop_s
         self.nodes: List[ProxyNode] = [
             ProxyNode(env, i, self, spec) for i in range(spec.n_proxies)]
+        self._routes: Dict[Any, int] = {}  # path -> proxy index
 
     # -- the cluster surface clients actually use ----------------------
     @property
@@ -291,14 +294,18 @@ class ProxyTier:
         request.submitted_at = self.env.now
         node = self.nodes[self._route(request.path)]
         node.stats.requests += 1
-        self.env.process(node.serve(request, dest, done))
+        start_inline(self.env, node.serve(request, dest, done))
         return done
 
     def _route(self, path) -> int:
         """Key-affinity routing: a stable hash of the path (``zlib.crc32``
         — Python's ``hash()`` is salted per process, which would make
-        fixed-seed runs irreproducible)."""
-        return zlib.crc32(str(path).encode()) % len(self.nodes)
+        fixed-seed runs irreproducible), memoised per path."""
+        route = self._routes.get(path)
+        if route is None:
+            route = zlib.crc32(str(path).encode()) % len(self.nodes)
+            self._routes[path] = route
+        return route
 
     def invalidate(self, request: MdsRequest) -> None:
         """Drop every cached reply ``request`` staled, on every proxy
@@ -313,7 +320,4 @@ class ProxyTier:
         total = ProxyStats()
         for node in self.nodes:
             total.merge(node.stats)
-        return {"requests": total.requests, "absorbed": total.absorbed,
-                "coalesced": total.coalesced, "forwarded": total.forwarded,
-                "invalidations": total.invalidations,
-                "retries": total.retries}
+        return asdict(total)

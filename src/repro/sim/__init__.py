@@ -4,14 +4,15 @@ A small, deterministic, dependency-free simpy-like kernel:
 
 * :class:`Environment` — event calendar and clock.
 * :class:`Event` / :class:`Timeout` — triggerable conditions.
-* :class:`Process` — generator-coroutine processes that ``yield`` events.
+* :class:`Process` — generator-coroutine processes that ``yield`` events;
+  :func:`start_inline` starts one without boot or completion events.
 * :class:`Resource` / :class:`Store` — FIFO servers and blocking buffers.
 * :class:`RngStreams` — named reproducible random streams.
 """
 
 from .engine import Environment, Event, Timeout, NORMAL, URGENT
 from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError
-from .process import Interrupt, Process
+from .process import Interrupt, Process, start_inline
 from .resources import Request, Resource, Store
 from .rng import RngStreams, derive_seed
 
@@ -31,4 +32,5 @@ __all__ = [
     "Timeout",
     "URGENT",
     "derive_seed",
+    "start_inline",
 ]

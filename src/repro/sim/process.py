@@ -6,6 +6,10 @@ a succeeded event's value is sent back into the generator, a failed event's
 exception is thrown into it.  The process itself is an event that settles
 with the generator's return value, so processes compose: one process can
 ``yield`` another to wait for it.
+
+:func:`start_inline` is the cheap variant for short-lived, fire-and-forget
+bodies (one per proxied request): the generator runs synchronously up to its
+first pending yield, and a successful finish puts nothing on the calendar.
 """
 
 from __future__ import annotations
@@ -49,7 +53,10 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
-        boot = Event(env)
+        self._start()
+
+    def _start(self) -> None:
+        boot = Event(self.env)
         boot.callbacks.append(self._resume)
         boot.succeed(priority=URGENT)
 
@@ -99,6 +106,13 @@ class Process(Event):
             event._defused = True
             self._advance(throw=event._value)
 
+    def _settle(self, ok: bool, value: Any) -> None:
+        """Completion hook: the generator returned ``value`` or raised it."""
+        if ok:
+            self.succeed(value, priority=NORMAL)
+        else:
+            self.fail(value, priority=NORMAL)
+
     def _advance(self, *, send: Any = None, throw: BaseException | None = None) -> None:
         # The loop exists for the settled-event fast lane: when the yielded
         # event was settled inline (uncontended resource grant, buffered
@@ -118,7 +132,7 @@ class Process(Event):
                 else:
                     target = generator.send(send)
             except StopIteration as stop:
-                self.succeed(stop.value, priority=NORMAL)
+                self._settle(True, stop.value)
                 return
             except StopSimulation:
                 # run(until=<event>) stop raised inside a synchronous
@@ -127,14 +141,14 @@ class Process(Event):
             except BaseException as exc:
                 # Propagate to anyone waiting on this process; if nobody is,
                 # the kernel will re-raise when it processes the failure.
-                self.fail(exc, priority=NORMAL)
+                self._settle(False, exc)
                 return
             if not isinstance(target, Event):
                 crash = TypeError(
                     f"process {self.name!r} yielded {target!r}; processes must"
                     " yield Event instances")
                 generator.close()
-                self.fail(crash)
+                self._settle(False, crash)
                 return
             if target._inline and target.callbacks is not None:
                 # Settled inline: consume synchronously, no heap round-trip.
@@ -171,3 +185,38 @@ class Process(Event):
                 self._waiting_on = target
                 target.callbacks.append(self._resume)
             return
+
+
+class _InlineProcess(Process):
+    """A :class:`Process` without its boot and completion events."""
+
+    __slots__ = ()
+
+    def _start(self) -> None:
+        self._advance()
+
+    def _settle(self, ok: bool, value: Any) -> None:
+        if ok and not self.callbacks:
+            # Nobody waits: finish in place, already processed, with no
+            # calendar entry.
+            self._triggered = True
+            self._value = value
+            self.callbacks = None
+        else:
+            # Waiters, or a failure the kernel must see: complete as a
+            # plain process does (an unwaited failure is raised by run()).
+            Process._settle(self, ok, value)
+
+
+def start_inline(env: Environment, generator: ProcessGenerator) -> Process:
+    """Run ``generator`` now, up to its first pending yield.
+
+    Unlike :meth:`Environment.process` there is no URGENT boot event: the
+    body runs re-entrantly inside its caller.  A successful finish that
+    nobody waits on schedules no completion event either.  Everything in
+    between is :meth:`Process._advance`: inline-settled events are consumed
+    in place, an already-processed event is relayed through URGENT, and an
+    exception escaping the generator is scheduled as a failure that
+    :meth:`Environment.run` raises.
+    """
+    return _InlineProcess(env, generator)

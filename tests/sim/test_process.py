@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, Store, start_inline
 
 
 def test_process_runs_and_returns_value():
@@ -193,3 +193,115 @@ def test_interrupted_process_can_continue_and_finish():
     env.process(interrupter())
     assert env.run(until=proc) == "done late"
     assert env.now == 7.0
+
+
+class TestStartInline:
+    """``start_inline``: a process body without boot or completion events."""
+
+    def test_runs_synchronously_up_to_first_pending_yield(self):
+        env = Environment()
+        log = []
+
+        def body():
+            log.append(("start", env.now))
+            yield env.timeout(1.0)
+            log.append(("woke", env.now))
+
+        proc = start_inline(env, body())
+        assert log == [("start", 0.0)]  # ran inside the call
+        assert proc.is_alive
+        env.run()
+        assert log == [("start", 0.0), ("woke", 1.0)]
+        assert not proc.is_alive
+
+    def test_consumes_inline_settled_events(self):
+        env = Environment(fastlane=True)
+        store = Store(env)
+        store.put("a")
+        store.put("b")
+        seen = []
+
+        def body():
+            seen.append((yield store.get()))
+            seen.append((yield store.get()))
+            yield env.timeout(1.0)
+
+        before = env.fast_resumes
+        start_inline(env, body())
+        # both buffered items were handed over before the call returned
+        assert seen == ["a", "b"]
+        assert env.fast_resumes - before == 2
+
+    @pytest.mark.parametrize("fastlane", [False, True])
+    def test_relays_processed_event_through_urgent_like_process(self, fastlane):
+        def order(start):
+            env = Environment(fastlane=fastlane)
+            ev = env.event()
+            ev.succeed("pre")
+            env.run()
+            log = []
+
+            def other():
+                log.append("other")
+                yield env.timeout(0.0)
+
+            def body():
+                log.append(("body", (yield ev)))
+
+            def kick():
+                normal = env.timeout(0.0)  # NORMAL, queued first
+                normal.callbacks.append(lambda _ev: log.append("normal"))
+                env.process(other())  # URGENT boot, queued next
+                start(env, body())
+                yield normal
+
+            env.process(kick())
+            env.run()
+            return log
+
+        plain = order(lambda env, gen: env.process(gen))
+        inline = order(start_inline)
+        # the body's first yield is processed already, so its value comes
+        # back through an URGENT relay: after the URGENT boot queued ahead
+        # of it, before the NORMAL event queued earlier still
+        assert plain == inline == ["other", ("body", "pre"), "normal"]
+
+    def test_adds_no_boot_or_completion_entry(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            return "ignored"
+
+        def scheduled(start):
+            before = env.kernel_stats()["events_scheduled"]
+            start(body())
+            env.run()
+            return env.kernel_stats()["events_scheduled"] - before
+
+        assert scheduled(lambda gen: start_inline(env, gen)) == 1  # timeout
+        assert scheduled(env.process) == 3  # boot + timeout + completion
+
+    def test_waiter_still_gets_the_return_value(self):
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            return 7
+
+        proc = start_inline(env, body())
+        assert env.run(until=proc) == 7
+
+    @pytest.mark.parametrize("fails_inline", [False, True])
+    def test_exception_surfaces_from_run(self, fails_inline):
+        env = Environment()
+
+        def body():
+            if not fails_inline:
+                yield env.timeout(1.0)
+            raise ValueError("boom")
+            yield  # pragma: no cover - makes this a generator
+
+        start_inline(env, body())  # never raises into its caller
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
