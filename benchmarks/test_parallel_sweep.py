@@ -2,8 +2,7 @@
 
 Times a small Fig. 2-style sweep both ways and asserts the determinism
 contract: the process pool must return bit-identical results to the serial
-path.  ``tools/bench_sweep.py`` is the full standalone version of this
-measurement (it also writes ``BENCH_parallel.json``).
+path.
 """
 
 from repro.api import require_ok, run_many, scaling_config

@@ -8,7 +8,8 @@ from repro.api import run_experiment
 from repro.experiments.overload import (ADMISSION_INBOX, HOTSPOT_INBOX,
                                         NOMINAL_CAPACITY_OPS_S,
                                         OVERLOAD_N_MDS, PER_USER_OPS_S,
-                                        SLO_LATENCY_S, hotspot_config,
+                                        SLO_LATENCY_S, fig_hotspot,
+                                        fig_overload, hotspot_config,
                                         overload_config)
 from repro.experiments.runner import run_steady_state
 from repro.experiments.workload import OpenLoopSpec
@@ -113,3 +114,33 @@ class TestEndToEnd:
         text = sim.summary().format()
         assert "offered ops" in text
         assert "goodput (ops/s)" in text
+
+
+class TestFigureShapes:
+    """The shapes the overload and hotspot figures claim, asserted on a
+    three-point sweep (0.5x, 1.0x and 1.6x capacity) at scale 0.3 and
+    the hotspot head-to-head at scale 0.25.  Goodput and latency are
+    simulated quantities, so these are deterministic per seed."""
+
+    @pytest.fixture(scope="class")
+    def goodput(self):
+        fig = fig_overload(scale=0.3, fractions=[0.5, 1.0, 1.6])
+        return {name: [g for _offered, g in points]
+                for name, points in fig.series.items()}
+
+    @pytest.fixture(scope="class")
+    def hotspot_p99_ms(self):
+        fig = fig_hotspot(scale=0.25)
+        return {row[0]: row[2] for row in fig.rows}
+
+    def test_goodput_collapses_past_the_knee_without_admission(self,
+                                                              goodput):
+        no_ac = goodput["dynamic no-AC"]
+        assert no_ac[-1] < 0.5 * max(no_ac)
+
+    def test_admission_control_holds_goodput(self, goodput):
+        ac = goodput["dynamic AC"]
+        assert ac[-1] >= 0.8 * max(ac)
+
+    def test_proxy_beats_traffic_control_on_p99(self, hotspot_p99_ms):
+        assert hotspot_p99_ms["proxy"] < hotspot_p99_ms["traffic-control"]

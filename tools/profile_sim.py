@@ -14,8 +14,8 @@ per-call costs) and reports min and median wall time.  ``--parallel`` /
 ``--breakdown`` buckets the profiled time by subsystem (cProfile module
 prefixes): the event *kernel* (``repro.sim``), the metadata *model*
 (cache/namespace/mds/partition/model/proxy), and *observability*
-(obs/metrics/trace) — the quickest way to see which compiled extension
-the next wall-second should come from.
+(obs/metrics/trace) — the quickest way to see which layer the next
+wall-second should come from.
 
 Usage:
     python tools/profile_sim.py [--scale 0.5] [--strategy DynamicSubtree]
